@@ -88,7 +88,7 @@ telemetry::RunReport RunTable1Complexity(const Experiment& e) {
   table.Print(std::cout);
   std::cout << "(matching instances are skew-free, so the one-round algorithm performs at\n"
                " its tau*-governed best here; its psi* column is the worst-case guarantee,\n"
-               " attained on the adversarial instances of bench_intro_gap.)\n";
+               " attained on the adversarial instances of the intro_gap experiment.)\n";
 
   FinishReport(report, all_ok);
   return report;

@@ -46,8 +46,9 @@ MakespanBreakdown SimulateMakespan(const LoadTracker& tracker,
                                    const std::vector<double>& speeds);
 
 /// Evaluates the heterogeneous makespan of `tracker` under `plan`'s
-/// straggler speeds. Thin wrapper over the same per-(round, server) speed
-/// evaluation as the vector overload.
+/// straggler speeds, asking plan.SpeedOf(round, server) per round. A
+/// straggler schedule varies by round, so it is not expressible as the
+/// per-server vector above; both overloads share one evaluation core.
 MakespanBreakdown SimulateMakespan(const LoadTracker& tracker, const FaultPlan& plan);
 
 }  // namespace resilience

@@ -27,19 +27,13 @@
 #include <string>
 #include <utility>
 
+#include "planner/cost_model.h"
 #include "util/mutex.h"
 #include "util/rational.h"
 #include "util/thread_annotations.h"
 
 namespace coverpack {
 namespace service {
-
-/// How the service executes an admitted query.
-enum class ExecStrategy : uint8_t {
-  kAcyclicMultiRound,  ///< Theorem 5: ComputeAcyclicJoin, optimal policy
-  kOneRound,           ///< skew-aware one-round hypercube (any query)
-  kOutputBalanced,     ///< output-balanced Yannakakis (connected acyclic)
-};
 
 /// Cache key: shape x sub-cluster size x relation-size profile.
 struct PlanCacheKey {
@@ -62,7 +56,7 @@ struct PlanCacheKey {
 struct CachedPlan {
   std::string canonical_form;  ///< collision guard (see PlanCache::Lookup)
   bool acyclic = false;
-  ExecStrategy strategy = ExecStrategy::kOneRound;
+  planner::Algorithm strategy = planner::Algorithm::kOneRound;  ///< what executes
   Rational rho_star;  ///< fractional edge cover number
   Rational tau_star;  ///< fractional edge packing number
   Rational psi_star;  ///< edge quasi-packing number (one-round exponent)

@@ -49,24 +49,6 @@ uint64_t Percentile(const std::vector<uint64_t>& sorted, uint32_t pct) {
   return sorted[index];
 }
 
-ExecStrategy StrategyFor(planner::Algorithm algorithm) {
-  switch (algorithm) {
-    case planner::Algorithm::kOneRound: return ExecStrategy::kOneRound;
-    case planner::Algorithm::kAcyclicMultiRound: return ExecStrategy::kAcyclicMultiRound;
-    case planner::Algorithm::kOutputBalanced: return ExecStrategy::kOutputBalanced;
-  }
-  return ExecStrategy::kOneRound;
-}
-
-planner::Algorithm AlgorithmFor(ExecStrategy strategy) {
-  switch (strategy) {
-    case ExecStrategy::kOneRound: return planner::Algorithm::kOneRound;
-    case ExecStrategy::kAcyclicMultiRound: return planner::Algorithm::kAcyclicMultiRound;
-    case ExecStrategy::kOutputBalanced: return planner::Algorithm::kOutputBalanced;
-  }
-  return planner::Algorithm::kOneRound;
-}
-
 }  // namespace
 
 const char* PlannerModeName(PlannerMode mode) {
@@ -114,7 +96,7 @@ CachedPlan ComputePlan(const Hypergraph& query, const Instance& instance, uint32
   lp.join_tree_roots = plan.join_tree_roots;
   const planner::StatsSnapshot stats = planner::BuildStatsSnapshot(query, instance);
   const planner::PlanDecision decision = planner::PlanChooser::Choose(query, p, stats, lp);
-  plan.strategy = StrategyFor(decision.algorithm);
+  plan.strategy = decision.algorithm;
   plan.planner_est_load = decision.est_load;
   plan.planner_out_estimate = decision.out_estimate;
   plan.join_order = decision.join_order;
@@ -126,7 +108,7 @@ CachedPlan ComputePlan(const Hypergraph& query, const Instance& instance, uint32
     }
     const planner::CostEstimate& entry = decision.table.ForAlgorithm(forced);
     if (entry.applicable) {
-      plan.strategy = StrategyFor(forced);
+      plan.strategy = forced;
       plan.planner_est_load = entry.est_load;
     }
   }
@@ -142,8 +124,19 @@ CachedPlan ComputePlan(const Hypergraph& query, const Instance& instance, uint32
 ExecutionResult ExecuteRegistered(const Hypergraph& query, const Instance& instance,
                                   const CachedPlan& plan, uint32_t p, bool collect) {
   ExecutionResult result;
-  result.fingerprint.executed = true;
-  if (plan.strategy == ExecStrategy::kAcyclicMultiRound) {
+  LoadFingerprint& fp = result.fingerprint;
+  fp.executed = true;
+  // The three result types share these field names; each branch below
+  // fills only what its type reports differently (load_threshold stays 0
+  // for the runs that have none).
+  const auto record = [&result, &fp](const auto& run) {
+    fp.max_load = run.max_load;
+    fp.rounds = run.rounds;
+    fp.output_count = run.output_count;
+    fp.tracker_hash = FingerprintTrackerHash(run.load_tracker);
+    result.exec_ticks = ExecutionTicks(run.load_tracker);
+  };
+  if (plan.strategy == planner::Algorithm::kAcyclicMultiRound) {
     AcyclicRunOptions options;
     options.policy = RunPolicy::kOptimal;
     options.collect = collect;
@@ -153,38 +146,24 @@ ExecutionResult ExecuteRegistered(const Hypergraph& query, const Instance& insta
     // auto-planned run — the bench experiment asserts exactly this.
     options.load_threshold = plan.load_threshold;
     const AcyclicRunResult run = ComputeAcyclicJoin(query, instance, options);
-    result.fingerprint.max_load = run.max_load;
-    result.fingerprint.rounds = run.rounds;
-    result.fingerprint.total_communication = run.total_communication;
-    result.fingerprint.servers_used = run.servers_used;
-    result.fingerprint.load_threshold = run.load_threshold;
-    result.fingerprint.output_count = run.output_count;
-    result.fingerprint.tracker_hash = FingerprintTrackerHash(run.load_tracker);
-    result.exec_ticks = ExecutionTicks(run.load_tracker);
-  } else if (plan.strategy == ExecStrategy::kOutputBalanced) {
+    fp.total_communication = run.total_communication;
+    fp.servers_used = run.servers_used;
+    fp.load_threshold = run.load_threshold;
+    record(run);
+  } else if (plan.strategy == planner::Algorithm::kOutputBalanced) {
     OutputBalancedOptions options;
     options.collect = collect;
     const OutputBalancedResult run = ComputeOutputBalanced(query, instance, p, options);
-    result.fingerprint.max_load = run.max_load;
-    result.fingerprint.rounds = run.rounds;
-    result.fingerprint.total_communication = run.total_communication;
-    result.fingerprint.servers_used = run.load_tracker.num_servers();
-    result.fingerprint.load_threshold = 0;
-    result.fingerprint.output_count = run.output_count;
-    result.fingerprint.tracker_hash = FingerprintTrackerHash(run.load_tracker);
-    result.exec_ticks = ExecutionTicks(run.load_tracker);
+    fp.total_communication = run.total_communication;
+    fp.servers_used = run.load_tracker.num_servers();
+    record(run);
   } else {
     OneRoundOptions options;
     options.collect = collect;
     const OneRoundResult run = ComputeOneRoundSkewAware(query, instance, p, options);
-    result.fingerprint.max_load = run.max_load;
-    result.fingerprint.rounds = run.rounds;
-    result.fingerprint.total_communication = run.load_tracker.TotalCommunication();
-    result.fingerprint.servers_used = run.servers_used;
-    result.fingerprint.load_threshold = 0;
-    result.fingerprint.output_count = run.output_count;
-    result.fingerprint.tracker_hash = FingerprintTrackerHash(run.load_tracker);
-    result.exec_ticks = ExecutionTicks(run.load_tracker);
+    fp.total_communication = run.load_tracker.TotalCommunication();
+    fp.servers_used = run.servers_used;
+    record(run);
   }
   return result;
 }
@@ -294,9 +273,9 @@ ServiceRunStats QueryService::Run() {
   std::map<uint64_t, Running> running;  // query_id -> in-flight record
   LeaseManager leases(config_.total_servers);
   leases.SetSpeeds(config_.server_speeds);
-  // Heterogeneous pools lease in speed-capacity units (servers_per_query
-  // units of aggregate speed); uniform pools keep count-based grants.
-  const bool capacity_mode = !config_.server_speeds.empty();
+  // Every query leases servers_per_query units of aggregate speed; under
+  // unit speeds that is exactly servers_per_query servers.
+  const double lease_capacity = static_cast<double>(config_.servers_per_query);
   stats.entry_fingerprints.assign(catalog_.size(), LoadFingerprint{});
   std::vector<uint64_t> queue_waits;
 
@@ -336,10 +315,7 @@ ServiceRunStats QueryService::Run() {
     // pipelines then execute concurrently on the thread pool.
     std::vector<Dispatched> batch;
     while (!wait_queue.empty()) {
-      auto lease = capacity_mode
-                       ? leases.AcquireCapacity(
-                             static_cast<double>(config_.servers_per_query))
-                       : leases.Acquire(config_.servers_per_query);
+      auto lease = leases.AcquireCapacity(lease_capacity);
       if (!lease.has_value()) break;
       const Pending pending = wait_queue.front();
       wait_queue.pop_front();
@@ -387,10 +363,10 @@ ServiceRunStats QueryService::Run() {
     std::vector<ExecutionResult> results(batch.size());
     const auto run_one = [&](size_t i) {
       const RegisteredQuery& entry = catalog_[batch[i].catalog_index];
-      // Plans are keyed and computed at p = servers_per_query; a capacity
-      // lease may hold fewer physical servers (its aggregate speed covers
-      // the same p speed-units), so execution uses the plan's p, not the
-      // lease footprint. Identical in count mode where the two agree.
+      // Plans are keyed and computed at p = servers_per_query; a lease on
+      // fast servers may hold fewer physical servers (its aggregate speed
+      // covers the same p speed-units), so execution uses the plan's p,
+      // not the lease footprint. Under unit speeds the two agree.
       results[i] = ExecuteRegistered(entry.query, entry.instance, batch[i].plan,
                                      config_.servers_per_query,
                                      config_.collect_results);
@@ -424,7 +400,7 @@ ServiceRunStats QueryService::Run() {
       run.outcome.rounds = results[i].fingerprint.rounds;
       run.outcome.strategy = dispatched.plan.strategy;
       run.outcome.planner_est_load = dispatched.plan.planner_est_load;
-      stats.planner.CountDecision(AlgorithmFor(dispatched.plan.strategy));
+      stats.planner.CountDecision(dispatched.plan.strategy);
       if (results[i].fingerprint.max_load > 0) {
         stats.planner.est_error_ratios.push_back(
             static_cast<double>(dispatched.plan.planner_est_load) /

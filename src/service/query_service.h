@@ -14,10 +14,9 @@
 ///                and inserted (LP numbers, join-forest summary, Theorem 4
 ///                load threshold, server demand);
 ///   execution  — the batch's pipelines run concurrently on the existing
-///                ThreadPool (each internally shard-parallel); acyclic
-///                queries run Theorem 5's multi-round algorithm with the
-///                cached threshold, cyclic queries the one-round
-///                skew-aware fallback;
+///                ThreadPool (each internally shard-parallel), each running
+///                the planner::Algorithm its cached plan names (Theorem 5's
+///                multi-round run uses the cached threshold);
 ///   latency    — completion is scheduled on the *simulated* clock:
 ///                planning ticks (cold >> hit) plus execution ticks
 ///                derived from the run's per-round bottleneck loads. No
@@ -83,13 +82,12 @@ struct ServiceConfig {
   uint32_t total_servers = 256;     ///< the simulated p-server pool
   uint32_t servers_per_query = 64;  ///< sub-cluster lease size
   /// Per-server speeds (size total_servers, all > 0) for a heterogeneous
-  /// pool. When non-empty, leases are granted in speed-capacity units:
-  /// each query asks for `servers_per_query` units of aggregate speed and
-  /// receives the first-fit minimal range covering them (LeaseManager::
-  /// AcquireCapacity), so fast servers shrink the footprint. Empty keeps
-  /// the historical count-based Acquire, and a vector of all 1.0 grants
-  /// bit-identical leases to empty — the cluster_elastic experiment and
-  /// the service tests verify the run digests match.
+  /// pool; empty means every server has unit speed. Leases are granted in
+  /// speed-capacity units: each query asks for `servers_per_query` units
+  /// of aggregate speed and receives the first-fit minimal range covering
+  /// them (LeaseManager::AcquireCapacity), so fast servers shrink the
+  /// footprint. Under unit speeds that range is exactly servers_per_query
+  /// servers wide, so an all-1.0 vector and an empty one run identically.
   std::vector<double> server_speeds;
   bool cache_enabled = true;
   size_t cache_capacity = 64;
@@ -145,7 +143,7 @@ struct QueryOutcome {
   uint64_t exec_ticks = 0;
   uint64_t max_load = 0;
   uint32_t rounds = 0;
-  ExecStrategy strategy = ExecStrategy::kOneRound;  ///< what actually ran
+  planner::Algorithm strategy = planner::Algorithm::kOneRound;  ///< what actually ran
   uint64_t planner_est_load = 0;  ///< chooser's estimate for this plan
 };
 

@@ -27,15 +27,6 @@ SubClusterLease LeaseManager::Carve(std::map<uint32_t, uint32_t>::iterator it,
   return lease;
 }
 
-std::optional<SubClusterLease> LeaseManager::Acquire(uint32_t size) {
-  CP_CHECK(size > 0);
-  for (auto it = free_.begin(); it != free_.end(); ++it) {
-    if (it->second < size) continue;
-    return Carve(it, size);
-  }
-  return std::nullopt;
-}
-
 std::optional<SubClusterLease> LeaseManager::AcquireCapacity(double capacity) {
   CP_CHECK(capacity > 0.0);
   for (auto it = free_.begin(); it != free_.end(); ++it) {

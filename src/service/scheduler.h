@@ -6,13 +6,12 @@
 ///  * LeaseManager — carves the p-server pool into disjoint sub-clusters.
 ///    First-fit over a coalesced free-interval map: acquisition order
 ///    fully determines placement, so lease assignments are bit-identical
-///    across runs and thread counts. Optionally speed-aware: with a
-///    per-server speed vector installed, leases can be granted in
-///    speed-capacity units (AcquireCapacity) — the minimal first-fit
-///    prefix whose speed sum covers the request — which collapses to
-///    Acquire(ceil(capacity)) under uniform unit speeds. The pool can
-///    also be resized at quiesce points (Resize), modelling elastic
-///    membership in the service layer.
+///    across runs and thread counts. Leases are granted in speed-capacity
+///    units (AcquireCapacity): the minimal first-fit prefix whose speed
+///    sum covers the request. Servers have unit speed unless a speed
+///    vector is installed, so a request for n units is then a range of
+///    exactly n servers. The pool can also be resized at quiesce points
+///    (Resize), modelling elastic membership in the service layer.
 ///  * SimEventQueue — a min-heap of (tick, sequence) events driving the
 ///    discrete-event loop. The sequence number breaks same-tick ties in
 ///    push order, which the service keeps deterministic.
@@ -40,15 +39,11 @@ class LeaseManager {
  public:
   explicit LeaseManager(uint32_t total_servers);
 
-  /// Leases the lowest-addressed free range of `size` servers, or nullopt
-  /// when no contiguous range fits.
-  std::optional<SubClusterLease> Acquire(uint32_t size);
-
   /// Leases the lowest-addressed free range whose speed sum reaches
   /// `capacity` using the fewest servers of that range's prefix — i.e.
   /// first-fit over intervals, minimal prefix within the interval. With
-  /// no (or uniform 1.0) speeds installed this grants exactly the same
-  /// ranges as Acquire(ceil(capacity)). Returns nullopt when no single
+  /// no (or uniform 1.0) speeds installed this is the lowest-addressed
+  /// free range of ceil(capacity) servers. Returns nullopt when no single
   /// free interval holds enough aggregate speed.
   std::optional<SubClusterLease> AcquireCapacity(double capacity);
 
