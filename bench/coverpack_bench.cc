@@ -15,16 +15,20 @@
 ///   coverpack_bench --threads=8     # pool size (default: hw concurrency)
 ///   coverpack_bench --compare-serial  # also time --threads=1, stamp speedup
 ///   coverpack_bench --seed=123      # override every experiment's base seed
-///   coverpack_bench --crash-rate=0.05 --straggler-rate=0.25 \
-///                   --straggler-severity=8 --drop-rate=0.001 \
+///   coverpack_bench --crash-rate=0.05 --straggler-rate=0.25
+///                   --straggler-severity=8 --drop-rate=0.001
 ///                   --dup-rate=0.001 --fault-seed=7 --max-attempts=4
 ///                                   # run EVERYTHING under fault injection
+///                                   # (one command line, wrapped here)
 ///
 /// Results are bit-identical at any --threads value (shard-ordered merges +
 /// split Rng streams); only the wall-clock fields change. They are also
 /// bit-identical under any fault flags — fault injection recovers to the
 /// fault-free state and only adds fault.* / recovery.* metrics (see
-/// EXPERIMENTS.md).
+/// EXPERIMENTS.md). Each experiment run (the --compare-serial reference run
+/// too) gets a fresh FaultInjector built from the flags, and its report
+/// carries that injector's ledger; fault decisions are pure functions of
+/// the exchanged content, so they do not depend on which injector decides.
 ///
 /// Exit status: 0 iff every selected experiment reproduces its claim
 /// (verdict SHAPE-REPRODUCED); 1 on any DEVIATION; 2 on usage errors or
@@ -34,7 +38,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,7 +45,7 @@
 #include "cluster/cluster_profile.h"
 #include "experiments/experiments.h"
 #include "experiments/runners.h"
-#include "resilience/fault_injector.h"
+#include "resilience/fault_plan.h"
 #include "service/query_service.h"
 #include "service/workload_sim.h"
 #include "telemetry/json_writer.h"
@@ -144,12 +147,6 @@ int RunDriver(const DriverOptions& options) {
   SetServiceBenchOverrides(options.service);
   SetPlannerBenchOverrides(options.planner);
   SetClusterBenchOverrides(options.cluster);
-  // With any fault flag set, the whole selection runs under the injector —
-  // including the serial reference runs, which still compare identical.
-  std::unique_ptr<resilience::ScopedFaultInjection> injection;
-  if (options.faults.active()) {
-    injection = std::make_unique<resilience::ScopedFaultInjection>(options.faults);
-  }
   std::vector<telemetry::RunReport> reports;
   reports.reserve(selected.size());
   for (const Experiment* experiment : selected) {
@@ -160,7 +157,7 @@ int RunDriver(const DriverOptions& options) {
       // identical to the parallel one below, wall-clock aside.
       ThreadPool::SetGlobalThreads(1);
       auto serial_start = std::chrono::steady_clock::now();
-      telemetry::RunReport serial_report = RunExperiment(*experiment);
+      telemetry::RunReport serial_report = RunExperiment(*experiment, options.faults);
       auto serial_end = std::chrono::steady_clock::now();
       wall_ms_serial =
           std::chrono::duration<double, std::milli>(serial_end - serial_start).count();
@@ -168,7 +165,7 @@ int RunDriver(const DriverOptions& options) {
     }
     ThreadPool::SetGlobalThreads(threads);
     auto start = std::chrono::steady_clock::now();
-    telemetry::RunReport report = RunExperiment(*experiment);
+    telemetry::RunReport report = RunExperiment(*experiment, options.faults);
     auto end = std::chrono::steady_clock::now();
     report.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
     report.threads = threads;

@@ -40,6 +40,7 @@
 #include "query/catalog.h"
 #include "resilience/cost_model.h"
 #include "resilience/fault_injector.h"
+#include "telemetry/resilience_metrics.h"
 #include "util/logging.h"
 #include "workload/generators.h"
 
@@ -88,6 +89,43 @@ bool SameElasticStateModuloIdle(const cluster::ElasticRunResult& a,
     }
   }
   return true;
+}
+
+/// Adds one elastic pipeline's migrations to the report's cluster.* keys:
+/// counters add and the largest single-server migration receive keeps the
+/// larger value, so the keys total every pipeline the sweep runs. All of it
+/// is planned volume, so it is the same at any thread count or fault plan.
+void RecordElasticRun(const cluster::ElasticRunResult& run,
+                      telemetry::MetricsRegistry* metrics) {
+  static const std::vector<double> kMigrationBounds = {1.0, 10.0, 100.0, 1000.0,
+                                                       1e4, 1e5,  1e6,   1e7};
+  telemetry::Histogram& volumes =
+      metrics->GetHistogram("cluster.migration_tuples", kMigrationBounds);
+  uint64_t joined = 0;
+  uint64_t left = 0;
+  uint64_t from_leavers = 0;
+  uint64_t to_joiners = 0;
+  uint64_t max_receive = 0;
+  for (const cluster::MigrationResult& migration : run.migrations) {
+    joined += migration.servers_joined;
+    left += migration.servers_left;
+    from_leavers += migration.tuples_from_leavers;
+    to_joiners += migration.tuples_to_joiners;
+    max_receive = std::max(max_receive, migration.stats.max_receive);
+    volumes.Observe(static_cast<double>(migration.stats.planned));
+  }
+  metrics->AddCounter("cluster.runs");
+  metrics->AddCounter("cluster.migrations", run.migrations.size());
+  metrics->AddCounter("cluster.servers_joined", joined);
+  metrics->AddCounter("cluster.servers_left", left);
+  metrics->AddCounter("cluster.tuples_migrated", run.tuples_migrated);
+  metrics->AddCounter("cluster.tuples_from_leavers", from_leavers);
+  metrics->AddCounter("cluster.tuples_to_joiners", to_joiners);
+  metrics->AddCounter("cluster.checkpoints_captured", run.checkpoints.num_captures());
+  metrics->AddCounter("cluster.checkpoint_tuples", run.checkpoints.total_tuples());
+  const char* kMaxMigration = "cluster.max_single_migration";
+  metrics->SetGauge(kMaxMigration, std::max(metrics->GaugeValue(kMaxMigration),
+                                            static_cast<double>(max_receive)));
 }
 
 }  // namespace
@@ -235,6 +273,7 @@ telemetry::RunReport RunClusterElastic(const Experiment& e) {
       const cluster::ClusterProfile profile(config.base_p, spec, schedule);
 
       const cluster::ElasticRunResult aware = cluster::RunElasticPipeline(config);
+      RecordElasticRun(aware, &report.metrics);
       if (aware.final_rows != config.rows) conservation_ok = false;
       if (!schedule.empty() && aware.epochs > 1 && aware.tuples_migrated == 0) {
         migrated_ok = false;
@@ -244,6 +283,7 @@ telemetry::RunReport RunClusterElastic(const Experiment& e) {
       oblivious_config.speed_aware = false;
       const cluster::ElasticRunResult oblivious =
           cluster::RunElasticPipeline(oblivious_config);
+      RecordElasticRun(oblivious, &report.metrics);
       if (oblivious.final_rows != config.rows) conservation_ok = false;
 
       // Both runs are costed on the *actual* fleet speeds; the speed-aware
@@ -266,6 +306,7 @@ telemetry::RunReport RunClusterElastic(const Experiment& e) {
         unfired_config.schedule = *unfired_schedule;
         const cluster::ElasticRunResult unfired =
             cluster::RunElasticPipeline(unfired_config);
+        RecordElasticRun(unfired, &report.metrics);
         if (!SameElasticStateModuloIdle(aware, unfired)) fixed_ok = false;
       }
 
@@ -274,7 +315,9 @@ telemetry::RunReport RunClusterElastic(const Experiment& e) {
       {
         resilience::ScopedFaultInjection injection(storm);
         stormy = cluster::RunElasticPipeline(config);
+        telemetry::MergeRecoveryLedgerInto(injection.injector().Ledger(), &report.metrics);
       }
+      RecordElasticRun(stormy, &report.metrics);
       const bool chaos_identical = SameElasticState(aware, stormy);
       chaos_ok = chaos_ok && chaos_identical;
 

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cctype>
 
-#include "cluster/cluster_telemetry.h"
 #include "experiments/runners.h"
 #include "mpc/exchange.h"
 #include "resilience/fault_injector.h"
-#include "telemetry/cluster_metrics.h"
 #include "telemetry/exchange_metrics.h"
 #include "telemetry/memory_metrics.h"
 #include "telemetry/metrics.h"
@@ -173,19 +171,19 @@ uint64_t ExperimentSeed(uint64_t site_seed) {
   return g_base_seed == 0 ? site_seed : HashCombine(g_base_seed, site_seed);
 }
 
-telemetry::RunReport RunExperiment(const Experiment& experiment) {
+telemetry::RunReport RunExperiment(const Experiment& experiment,
+                                   const resilience::FaultSpec& faults) {
   mpc::ExchangeTelemetry::Reset();
-  resilience::ResilienceTelemetry::Reset();
-  cluster::ClusterTelemetry::Reset();
   MemoryTelemetry::Reset();
-  telemetry::RunReport report = experiment.run(experiment);
+  telemetry::RunReport report;
+  if (faults.active()) {
+    resilience::ScopedFaultInjection injection(faults);
+    report = experiment.run(experiment);
+    telemetry::MergeRecoveryLedgerInto(injection.injector().Ledger(), &report.metrics);
+  } else {
+    report = experiment.run(experiment);
+  }
   telemetry::SnapshotExchangeTelemetryInto(&report.metrics);
-  // No-op unless this run executed exchanges under fault injection, so
-  // fault-free reports keep their schema byte-identical.
-  telemetry::SnapshotResilienceTelemetryInto(&report.metrics);
-  // Same schema-invariance contract for the elastic-cluster ledger: only
-  // runs that built a ClusterProfile pipeline emit cluster.* keys.
-  telemetry::SnapshotClusterTelemetryInto(&report.metrics);
   // Arena-scope accounting: logical bytes only, so the values are identical
   // at any thread count or fault schedule (see DESIGN.md §4h).
   telemetry::SnapshotMemoryTelemetryInto(&report.metrics);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "mpc/load_tracker.h"
+#include "resilience/fault_plan.h"
 #include "telemetry/load_stats.h"
 #include "telemetry/run_report.h"
 
@@ -45,12 +46,17 @@ const Experiment* FindExperiment(const std::string& id);
 /// historical substring semantics.
 bool ExperimentMatchesFilter(const Experiment& experiment, const std::string& filter);
 
-/// Runs one experiment with exchange instrumentation: resets the
-/// process-global ExchangeTelemetry, invokes the run function, and
-/// snapshots the "exchange.*" metrics into the report (EXPERIMENTS.md
-/// documents the keys). All drivers go through this so every
-/// BENCH_results.json row carries the exchange profile of its run.
-telemetry::RunReport RunExperiment(const Experiment& experiment);
+/// Runs one experiment with instrumentation: resets the process-global
+/// ExchangeTelemetry and MemoryTelemetry, invokes the run function, and
+/// snapshots their "exchange.*" and "memory.*" metrics into the report
+/// (EXPERIMENTS.md documents the keys). When `faults` is active the run
+/// goes under one FaultInjector of its own, whose "fault.*"/"recovery.*"
+/// ledger is merged into the report; experiments that inject faults
+/// themselves merge their own injectors' ledgers. "cluster.*" keys come
+/// from the elastic pipelines cluster_elastic runs. All drivers go through
+/// this so every BENCH_results.json row carries the profile of its run.
+telemetry::RunReport RunExperiment(const Experiment& experiment,
+                                   const resilience::FaultSpec& faults = {});
 
 /// Seeds a RunReport with the experiment's identity. Every run function
 /// starts with this, so the registry row is the single source of truth.

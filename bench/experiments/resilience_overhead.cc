@@ -10,8 +10,9 @@
 ///     answers.
 ///  2. **Bounded recovery cost.** Replaying a crashed server's round
 ///     re-sends at most its planned receive, which is at most the round's
-///     bottleneck load: recovery.tuples_resent_crash <= crashes x L and
-///     recovery.max_single_resend <= L.
+///     bottleneck load: for every injected run, read off its own
+///     injector's ledger, tuples_resent_crash <= crashes x L and
+///     max_single_resend <= L.
 ///  3. **Makespan shape.** The heterogeneity cost model
 ///     makespan = sum_r max_s load(r,s)/speed_s collapses to the
 ///     round-summed load at uniform speeds — keeping Theorem 5's
@@ -32,6 +33,7 @@
 #include "query/catalog.h"
 #include "resilience/cost_model.h"
 #include "resilience/fault_injector.h"
+#include "telemetry/resilience_metrics.h"
 #include "workload/generators.h"
 
 namespace coverpack {
@@ -53,23 +55,6 @@ bool TrackersEqual(const LoadTracker& a, const LoadTracker& b) {
     }
   }
   return true;
-}
-
-/// Ledger growth between two snapshots (counters only).
-resilience::ResilienceTelemetrySnapshot Delta(
-    const resilience::ResilienceTelemetrySnapshot& before,
-    const resilience::ResilienceTelemetrySnapshot& after) {
-  resilience::ResilienceTelemetrySnapshot d;
-  d.exchanges_injected = after.exchanges_injected - before.exchanges_injected;
-  d.exchanges_faulted = after.exchanges_faulted - before.exchanges_faulted;
-  d.crashes = after.crashes - before.crashes;
-  d.rows_dropped = after.rows_dropped - before.rows_dropped;
-  d.rows_duplicated = after.rows_duplicated - before.rows_duplicated;
-  d.retries = after.retries - before.retries;
-  d.full_reruns = after.full_reruns - before.full_reruns;
-  d.tuples_resent = after.tuples_resent - before.tuples_resent;
-  d.tuples_resent_crash = after.tuples_resent_crash - before.tuples_resent_crash;
-  return d;
 }
 
 }  // namespace
@@ -143,13 +128,14 @@ telemetry::RunReport RunResilienceOverhead(const Experiment& e) {
     ys.push_back(uniform.makespan);
 
     for (const FaultConfig& config : configs) {
-      const auto before = resilience::ResilienceTelemetry::Snapshot();
       AcyclicRunResult faulted;
+      resilience::RecoveryLedger ledger;
       {
         resilience::ScopedFaultInjection injection(config.spec);
         faulted = ComputeAcyclicJoin(query, instance, options);
+        ledger = injection.injector().Ledger();
       }
-      const auto delta = Delta(before, resilience::ResilienceTelemetry::Snapshot());
+      telemetry::MergeRecoveryLedgerInto(ledger, &report.metrics);
 
       // Claim 1: recovery is invisible in every measured quantity.
       const bool identical = TrackersEqual(baseline.load_tracker, faulted.load_tracker) &&
@@ -159,9 +145,13 @@ telemetry::RunReport RunResilienceOverhead(const Experiment& e) {
                              baseline.servers_used == faulted.servers_used;
       identical_ok = identical_ok && identical;
 
-      // Claim 2: each crash re-sends at most one round's bottleneck load.
-      const uint64_t resend_cap = delta.crashes * baseline.max_load;
-      if (delta.tuples_resent_crash > resend_cap) resend_ok = false;
+      // Claim 2: each crash re-sends at most one round's bottleneck load,
+      // and no single server's resend exceeds this p's bottleneck load.
+      const uint64_t resend_cap = ledger.crashes * baseline.max_load;
+      if (ledger.tuples_resent_crash > resend_cap ||
+          ledger.max_single_resend > baseline.max_load) {
+        resend_ok = false;
+      }
 
       // Claim 3, straggler part: the makespan is monotone in the straggler
       // schedule and bounded by severity x the uniform makespan.
@@ -173,8 +163,8 @@ telemetry::RunReport RunResilienceOverhead(const Experiment& e) {
         makespan_ok = false;
       }
 
-      table.AddRow({std::to_string(p), config.name, std::to_string(delta.crashes),
-                    std::to_string(delta.retries), std::to_string(delta.tuples_resent),
+      table.AddRow({std::to_string(p), config.name, std::to_string(ledger.crashes),
+                    std::to_string(ledger.retries), std::to_string(ledger.tuples_resent),
                     std::to_string(resend_cap), identical ? "yes" : "NO",
                     FormatDouble(hetero.slowdown, 3)});
     }
@@ -204,15 +194,17 @@ telemetry::RunReport RunResilienceOverhead(const Experiment& e) {
         mpc::HypercubeJoin(&clean, box, box_instance, shares, /*round=*/0, /*collect=*/true);
     for (const size_t config_index : {size_t{1}, size_t{2}}) {  // crash10%, drop+dup
       const FaultConfig& config = configs[config_index];
-      const auto before = resilience::ResilienceTelemetry::Snapshot();
       Cluster faulty(p);
       mpc::HypercubeResult recovered;
+      resilience::RecoveryLedger ledger;
       {
         resilience::ScopedFaultInjection injection(config.spec);
         recovered = mpc::HypercubeJoin(&faulty, box, box_instance, shares, /*round=*/0,
                                        /*collect=*/true);
+        ledger = injection.injector().Ledger();
       }
-      const auto delta = Delta(before, resilience::ResilienceTelemetry::Snapshot());
+      telemetry::MergeRecoveryLedgerInto(ledger, &report.metrics);
+      if (ledger.max_single_resend > max_baseline_load) resend_ok = false;
       bool identical = base.output_count == recovered.output_count &&
                        base.max_receive_load == recovered.max_receive_load &&
                        TrackersEqual(clean.tracker(), faulty.tracker()) &&
@@ -223,17 +215,15 @@ telemetry::RunReport RunResilienceOverhead(const Experiment& e) {
       // The corruption config must actually corrupt something here —
       // otherwise the "healed" claim is vacuous.
       const bool exercised =
-          config_index != 2 || delta.rows_dropped + delta.rows_duplicated > 0;
+          config_index != 2 || ledger.rows_dropped + ledger.rows_duplicated > 0;
       hypercube_ok = hypercube_ok && identical && exercised;
       std::cout << "hypercube box join under " << config.name << ": output "
-                << recovered.output_count << ", dropped " << delta.rows_dropped
-                << ", duplicated " << delta.rows_duplicated << ", retries "
-                << delta.retries << ", identical: " << (identical ? "yes" : "NO") << "\n";
+                << recovered.output_count << ", dropped " << ledger.rows_dropped
+                << ", duplicated " << ledger.rows_duplicated << ", retries "
+                << ledger.retries << ", identical: " << (identical ? "yes" : "NO") << "\n";
     }
   }
 
-  const auto ledger = resilience::ResilienceTelemetry::Snapshot();
-  if (ledger.max_single_resend > max_baseline_load) resend_ok = false;
   report.metrics.SetGauge("max_baseline_load", static_cast<double>(max_baseline_load));
   std::cout << "all faulted runs bit-identical: " << (identical_ok ? "yes" : "NO")
             << "; resend within one round's load per crash: " << (resend_ok ? "yes" : "NO")

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "cluster/cluster_telemetry.h"
 #include "cluster/routing.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -130,16 +129,6 @@ MigrationResult MigrateToEpoch(Cluster* cluster, DistRelation* state,
   for (uint32_t slot = 0; slot < num_slots; ++slot) {
     if (!in_to[slot]) CP_CHECK_EQ(state->shard(slot).size(), 0u);
   }
-
-  ClusterTelemetry::MigrationRecord record;
-  record.servers_joined = result.servers_joined;
-  record.servers_left = result.servers_left;
-  record.tuples_moved = result.stats.planned;
-  record.tuples_from_leavers = result.tuples_from_leavers;
-  record.tuples_to_joiners = result.tuples_to_joiners;
-  record.max_single_receive = result.stats.max_receive;
-  record.checkpoint_tuples = total;
-  ClusterTelemetry::RecordMigration(record);
   return result;
 }
 
@@ -160,7 +149,6 @@ ElasticRunResult RunElasticPipeline(const ElasticRunConfig& config) {
   CP_CHECK_GE(config.rounds, 1u);
   const ClusterProfile profile(config.base_p, config.speeds, config.schedule);
   Cluster cluster(profile.num_slots());
-  ClusterTelemetry::RecordRun();
 
   // Synthetic input: `rows` random tuples from a moderate key domain, so
   // partition rounds see both repeated and unique keys. One serial Rng —
@@ -196,10 +184,10 @@ ElasticRunResult RunElasticPipeline(const ElasticRunConfig& config) {
       std::vector<double> weights =
           config.speed_aware ? profile.ActiveSpeeds(epoch)
                              : std::vector<double>(epoch.active.size(), 1.0);
-      const MigrationResult migration =
-          MigrateToEpoch(&cluster, &state, current->active, epoch.active, weights, round,
-                         &result.checkpoints);
-      result.tuples_migrated += migration.stats.planned;
+      result.migrations.push_back(MigrateToEpoch(&cluster, &state, current->active,
+                                                 epoch.active, weights, round,
+                                                 &result.checkpoints));
+      result.tuples_migrated += result.migrations.back().stats.planned;
     }
     current = &epoch;
 

@@ -56,8 +56,8 @@ struct MigrationResult {
 /// ascending slot-id lists over the same slot space), rebalancing to
 /// shares proportional to `to_speeds` (aligned with `to`). Charged to
 /// `cluster` in `round` and audited like any other exchange. Notes the
-/// pre-migration snapshot in `checkpoints` (may be null) and records the
-/// move in the ClusterTelemetry ledger. No-op when `from == to`.
+/// pre-migration snapshot in `checkpoints` (may be null); what moved is
+/// only returned, never recorded elsewhere. No-op when `from == to`.
 MigrationResult MigrateToEpoch(Cluster* cluster, DistRelation* state,
                                const std::vector<uint32_t>& from,
                                const std::vector<uint32_t>& to,
@@ -88,7 +88,10 @@ struct ElasticRunResult {
   uint64_t final_rows = 0;
   uint64_t content_hash = 0;
   uint32_t epochs = 0;                  ///< memberships the run passed through
-  uint64_t tuples_migrated = 0;
+  uint64_t tuples_migrated = 0;         ///< planned volume of all `migrations`
+  std::vector<MigrationResult> migrations;  ///< one per membership change, in order
+  /// One pre-migration snapshot per entry of `migrations`, covering the
+  /// rows the state held at that boundary.
   resilience::RoundCheckpointStore checkpoints;
 };
 

@@ -10,112 +10,51 @@ namespace resilience {
 
 namespace {
 
-/// Process-global ledger state. Same single-mutex pattern as
-/// ExchangeTelemetry: exchanges execute from both the main thread and pool
-/// tasks, and the ledger must merge their recovery costs race-free.
-struct LedgerState {
-  Mutex mutex;
-  uint64_t exchanges_injected CP_GUARDED_BY(mutex) = 0;
-  uint64_t exchanges_faulted CP_GUARDED_BY(mutex) = 0;
-  uint64_t crashes CP_GUARDED_BY(mutex) = 0;
-  uint64_t rows_dropped CP_GUARDED_BY(mutex) = 0;
-  uint64_t rows_duplicated CP_GUARDED_BY(mutex) = 0;
-  uint64_t retries CP_GUARDED_BY(mutex) = 0;
-  uint64_t full_reruns CP_GUARDED_BY(mutex) = 0;
-  uint64_t backoff_units CP_GUARDED_BY(mutex) = 0;
-  uint64_t tuples_resent CP_GUARDED_BY(mutex) = 0;
-  uint64_t tuples_resent_crash CP_GUARDED_BY(mutex) = 0;
-  uint64_t tuples_resent_corruption CP_GUARDED_BY(mutex) = 0;
-  uint64_t tuples_resent_full_rerun CP_GUARDED_BY(mutex) = 0;
-  uint64_t checkpoints_captured CP_GUARDED_BY(mutex) = 0;
-  uint64_t checkpoint_tuples CP_GUARDED_BY(mutex) = 0;
-  uint64_t max_single_resend CP_GUARDED_BY(mutex) = 0;
-  std::vector<double> attempts_samples CP_GUARDED_BY(mutex);
-  std::vector<double> resent_samples CP_GUARDED_BY(mutex);
+/// One exchange's worth of recovery accounting, merged into the ledger
+/// under the injector's lock once the exchange is delivered.
+struct ExchangeRecord {
+  bool faulted = false;
+  uint64_t crashes = 0;
+  uint64_t rows_dropped = 0;
+  uint64_t rows_duplicated = 0;
+  uint64_t retries = 0;
+  bool full_rerun = false;
+  uint64_t backoff_units = 0;
+  uint64_t tuples_resent = 0;
+  uint64_t tuples_resent_crash = 0;
+  uint64_t tuples_resent_corruption = 0;
+  uint64_t tuples_resent_full_rerun = 0;
+  uint64_t max_single_resend = 0;
+  uint64_t attempts = 0;  ///< total delivery attempts, incl. the clean one
 };
 
-LedgerState& Ledger() {
-  static LedgerState state;
-  return state;
+void MergeRecord(const ExchangeRecord& record, RecoveryLedger* ledger) {
+  ++ledger->exchanges_injected;
+  if (!record.faulted) return;
+  ++ledger->exchanges_faulted;
+  ledger->crashes += record.crashes;
+  ledger->rows_dropped += record.rows_dropped;
+  ledger->rows_duplicated += record.rows_duplicated;
+  ledger->retries += record.retries;
+  if (record.full_rerun) ++ledger->full_reruns;
+  ledger->backoff_units += record.backoff_units;
+  ledger->tuples_resent += record.tuples_resent;
+  ledger->tuples_resent_crash += record.tuples_resent_crash;
+  ledger->tuples_resent_corruption += record.tuples_resent_corruption;
+  ledger->tuples_resent_full_rerun += record.tuples_resent_full_rerun;
+  ledger->max_single_resend = std::max(ledger->max_single_resend, record.max_single_resend);
+  // Samples are integer counts stored as doubles: histogram sums over them
+  // are exact in any accumulation order, which keeps reports bit-identical
+  // across thread counts even though exchanges record concurrently.
+  ledger->attempts_samples.push_back(static_cast<double>(record.attempts));
+  ledger->resent_samples.push_back(static_cast<double>(record.tuples_resent));
 }
 
 }  // namespace
 
-void ResilienceTelemetry::Reset() {
-  LedgerState& state = Ledger();
-  MutexLock lock(state.mutex);
-  state.exchanges_injected = 0;
-  state.exchanges_faulted = 0;
-  state.crashes = 0;
-  state.rows_dropped = 0;
-  state.rows_duplicated = 0;
-  state.retries = 0;
-  state.full_reruns = 0;
-  state.backoff_units = 0;
-  state.tuples_resent = 0;
-  state.tuples_resent_crash = 0;
-  state.tuples_resent_corruption = 0;
-  state.tuples_resent_full_rerun = 0;
-  state.checkpoints_captured = 0;
-  state.checkpoint_tuples = 0;
-  state.max_single_resend = 0;
-  state.attempts_samples.clear();
-  state.resent_samples.clear();
-}
-
-void ResilienceTelemetry::Record(const ExchangeRecord& record) {
-  LedgerState& state = Ledger();
-  MutexLock lock(state.mutex);
-  ++state.exchanges_injected;
-  ++state.checkpoints_captured;
-  state.checkpoint_tuples += record.checkpoint_tuples;
-  if (!record.faulted) return;
-  ++state.exchanges_faulted;
-  state.crashes += record.crashes;
-  state.rows_dropped += record.rows_dropped;
-  state.rows_duplicated += record.rows_duplicated;
-  state.retries += record.retries;
-  if (record.full_rerun) ++state.full_reruns;
-  state.backoff_units += record.backoff_units;
-  state.tuples_resent += record.tuples_resent;
-  state.tuples_resent_crash += record.tuples_resent_crash;
-  state.tuples_resent_corruption += record.tuples_resent_corruption;
-  state.tuples_resent_full_rerun += record.tuples_resent_full_rerun;
-  state.max_single_resend = std::max(state.max_single_resend, record.max_single_resend);
-  // Samples are integer counts stored as doubles: histogram sums over them
-  // are exact in any accumulation order, which keeps reports bit-identical
-  // across thread counts even though exchanges record concurrently.
-  state.attempts_samples.push_back(static_cast<double>(record.attempts));
-  state.resent_samples.push_back(static_cast<double>(record.tuples_resent));
-}
-
-ResilienceTelemetrySnapshot ResilienceTelemetry::Snapshot() {
-  LedgerState& state = Ledger();
-  MutexLock lock(state.mutex);
-  ResilienceTelemetrySnapshot snapshot;
-  snapshot.exchanges_injected = state.exchanges_injected;
-  snapshot.exchanges_faulted = state.exchanges_faulted;
-  snapshot.crashes = state.crashes;
-  snapshot.rows_dropped = state.rows_dropped;
-  snapshot.rows_duplicated = state.rows_duplicated;
-  snapshot.retries = state.retries;
-  snapshot.full_reruns = state.full_reruns;
-  snapshot.backoff_units = state.backoff_units;
-  snapshot.tuples_resent = state.tuples_resent;
-  snapshot.tuples_resent_crash = state.tuples_resent_crash;
-  snapshot.tuples_resent_corruption = state.tuples_resent_corruption;
-  snapshot.tuples_resent_full_rerun = state.tuples_resent_full_rerun;
-  snapshot.checkpoints_captured = state.checkpoints_captured;
-  snapshot.checkpoint_tuples = state.checkpoint_tuples;
-  snapshot.max_single_resend = state.max_single_resend;
-  snapshot.attempts_samples = state.attempts_samples;
-  snapshot.resent_samples = state.resent_samples;
-  return snapshot;
-}
-
-RoundCheckpointStore FaultInjector::CheckpointLedger() const {
+RecoveryLedger FaultInjector::Ledger() const {
   MutexLock lock(mutex_);
-  return checkpoints_;
+  return ledger_;
 }
 
 uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
@@ -132,11 +71,10 @@ uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
                              plan.recorded_planned(), plan.num_servers());
   {
     MutexLock lock(mutex_);
-    checkpoints_.NoteCapture(delivery.round(), delivery.CheckpointedRows());
+    ledger_.checkpoints.NoteCapture(delivery.round(), delivery.CheckpointedRows());
   }
 
-  ResilienceTelemetry::ExchangeRecord record;
-  record.checkpoint_tuples = delivery.CheckpointedRows();
+  ExchangeRecord record;
   const bool row_faults_possible = spec.drop_rate > 0.0 || spec.duplicate_rate > 0.0;
 
   uint64_t delivered = 0;
@@ -191,7 +129,7 @@ uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
     delivery.Restore();
     {
       MutexLock lock(mutex_);
-      checkpoints_.NoteRestore(delivery.round());
+      ledger_.checkpoints.NoteRestore(delivery.round());
     }
     record.faulted = true;
     ++record.retries;
@@ -226,7 +164,10 @@ uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
     delivered = delivery.Attempt();
     ++record.attempts;
   }
-  ResilienceTelemetry::Record(record);
+  {
+    MutexLock lock(mutex_);
+    MergeRecord(record, &ledger_);
+  }
   return delivered;
 }
 

@@ -15,9 +15,9 @@
 /// any FaultPlan produces bit-identical results, loads, and traces to the
 /// fault-free run — only the fault.* / recovery.* ledger differs.
 ///
-/// All recovery cost lands in the process-global ResilienceTelemetry
-/// ledger (Reset / Snapshot, mirroring ExchangeTelemetry) and is surfaced
-/// as fault.* / recovery.* metrics in bench reports.
+/// Each injector keeps its own recovery ledger (Ledger()), so a run's
+/// recovery cost is read off the injector that served it; the bench
+/// driver writes it into the run's report as fault.* / recovery.* metrics.
 
 #ifndef COVERPACK_RESILIENCE_FAULT_INJECTOR_H_
 #define COVERPACK_RESILIENCE_FAULT_INJECTOR_H_
@@ -34,10 +34,13 @@
 namespace coverpack {
 namespace resilience {
 
-/// Point-in-time copy of the recovery ledger. Sample vectors hold
-/// integer-valued doubles only, so downstream histogram aggregates are
-/// exact and independent of the (thread-dependent) recording order.
-struct ResilienceTelemetrySnapshot {
+/// The recovery ledger of one FaultInjector. Kept apart from the
+/// LoadTracker on purpose: the tracker must stay bit-identical to the
+/// fault-free run, so every cost of *recovering* lives here instead.
+/// Sample vectors hold integer-valued doubles only, so downstream
+/// histogram aggregates are exact and independent of the
+/// (thread-dependent) recording order.
+struct RecoveryLedger {
   uint64_t exchanges_injected = 0;  ///< charged exchanges run under the injector
   uint64_t exchanges_faulted = 0;   ///< of those, how many needed recovery
   uint64_t crashes = 0;             ///< (attempt, server) crash events
@@ -50,45 +53,18 @@ struct ResilienceTelemetrySnapshot {
   uint64_t tuples_resent_crash = 0;       ///< ... due to server crashes
   uint64_t tuples_resent_corruption = 0;  ///< ... due to drop/duplicate
   uint64_t tuples_resent_full_rerun = 0;  ///< ... due to full reruns
-  uint64_t checkpoints_captured = 0;  ///< implicit round checkpoints taken
-  uint64_t checkpoint_tuples = 0;     ///< tuples those checkpoints protected
   uint64_t max_single_resend = 0;     ///< largest per-server resend, any crash
   std::vector<double> attempts_samples;  ///< delivery attempts per faulted exchange
   std::vector<double> resent_samples;    ///< tuples resent per faulted exchange
-};
-
-/// Process-global recovery ledger. Kept separate from the LoadTracker on
-/// purpose: the tracker must stay bit-identical to the fault-free run, so
-/// every cost of *recovering* lives here instead.
-class ResilienceTelemetry {
- public:
-  /// One exchange's worth of recovery accounting, merged atomically.
-  struct ExchangeRecord {
-    bool faulted = false;
-    uint64_t crashes = 0;
-    uint64_t rows_dropped = 0;
-    uint64_t rows_duplicated = 0;
-    uint64_t retries = 0;
-    bool full_rerun = false;
-    uint64_t backoff_units = 0;
-    uint64_t tuples_resent = 0;
-    uint64_t tuples_resent_crash = 0;
-    uint64_t tuples_resent_corruption = 0;
-    uint64_t tuples_resent_full_rerun = 0;
-    uint64_t checkpoint_tuples = 0;
-    uint64_t max_single_resend = 0;
-    uint64_t attempts = 0;  ///< total delivery attempts, incl. the clean one
-  };
-
-  static void Reset();
-  static void Record(const ExchangeRecord& record);
-  static ResilienceTelemetrySnapshot Snapshot();
+  /// The implicit round checkpoint each injected exchange took: one
+  /// capture per exchange, covering its pre-exchange destination rows.
+  RoundCheckpointStore checkpoints;
 };
 
 /// The interposer. Install around a run (see ScopedFaultInjection) and
 /// every charged exchange is delivered under the plan's fault schedule.
 /// Thread-safe: concurrent Deliver calls work on disjoint delivery state
-/// and merge into the ledger under its lock.
+/// and merge into the injector's ledger under its lock.
 class FaultInjector : public mpc::ExchangeInterposer {
  public:
   explicit FaultInjector(const FaultSpec& spec) : plan_(spec) {}
@@ -96,19 +72,21 @@ class FaultInjector : public mpc::ExchangeInterposer {
 
   const FaultPlan& plan() const { return plan_; }
 
-  /// Per-injector view of the implicit checkpoints taken so far.
-  RoundCheckpointStore CheckpointLedger() const;
+  /// A copy of the recovery ledger of every exchange delivered so far.
+  RecoveryLedger Ledger() const;
 
   uint64_t Deliver(mpc::ExchangeDelivery& delivery) override;
 
  private:
   FaultPlan plan_;
   mutable Mutex mutex_;
-  RoundCheckpointStore checkpoints_ CP_GUARDED_BY(mutex_);
+  RecoveryLedger ledger_ CP_GUARDED_BY(mutex_);
 };
 
 /// RAII installation of a FaultInjector as the process interposer. Nests:
-/// the previously installed interposer (if any) is restored on destruction.
+/// exchanges inside an inner scope are delivered, and ledgered, by the
+/// inner injector only, and the previously installed interposer (if any)
+/// is restored on destruction.
 class ScopedFaultInjection {
  public:
   explicit ScopedFaultInjection(const FaultSpec& spec)

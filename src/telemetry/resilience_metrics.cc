@@ -1,43 +1,42 @@
 #include "telemetry/resilience_metrics.h"
 
+#include <algorithm>
 #include <vector>
-
-#include "resilience/fault_injector.h"
 
 namespace coverpack {
 namespace telemetry {
 
-void SnapshotResilienceTelemetryInto(MetricsRegistry* registry) {
+void MergeRecoveryLedgerInto(const resilience::RecoveryLedger& ledger,
+                             MetricsRegistry* registry) {
   static const std::vector<double> kAttemptBounds = {1.0, 2.0, 3.0, 4.0, 6.0, 8.0};
   static const std::vector<double> kResentBounds = {1.0, 10.0, 100.0, 1000.0,
                                                     1e4, 1e5,  1e6,   1e7};
-  const resilience::ResilienceTelemetrySnapshot snapshot =
-      resilience::ResilienceTelemetry::Snapshot();
-  if (snapshot.exchanges_injected == 0) return;
-  registry->AddCounter("fault.exchanges_injected", snapshot.exchanges_injected);
-  registry->AddCounter("fault.exchanges_faulted", snapshot.exchanges_faulted);
-  registry->AddCounter("fault.crashes", snapshot.crashes);
-  registry->AddCounter("fault.rows_dropped", snapshot.rows_dropped);
-  registry->AddCounter("fault.rows_duplicated", snapshot.rows_duplicated);
-  registry->AddCounter("recovery.retries", snapshot.retries);
-  registry->AddCounter("recovery.full_reruns", snapshot.full_reruns);
-  registry->AddCounter("recovery.backoff_units", snapshot.backoff_units);
-  registry->AddCounter("recovery.tuples_resent", snapshot.tuples_resent);
-  registry->AddCounter("recovery.tuples_resent_crash", snapshot.tuples_resent_crash);
+  if (ledger.exchanges_injected == 0) return;
+  registry->AddCounter("fault.exchanges_injected", ledger.exchanges_injected);
+  registry->AddCounter("fault.exchanges_faulted", ledger.exchanges_faulted);
+  registry->AddCounter("fault.crashes", ledger.crashes);
+  registry->AddCounter("fault.rows_dropped", ledger.rows_dropped);
+  registry->AddCounter("fault.rows_duplicated", ledger.rows_duplicated);
+  registry->AddCounter("recovery.retries", ledger.retries);
+  registry->AddCounter("recovery.full_reruns", ledger.full_reruns);
+  registry->AddCounter("recovery.backoff_units", ledger.backoff_units);
+  registry->AddCounter("recovery.tuples_resent", ledger.tuples_resent);
+  registry->AddCounter("recovery.tuples_resent_crash", ledger.tuples_resent_crash);
   registry->AddCounter("recovery.tuples_resent_corruption",
-                       snapshot.tuples_resent_corruption);
+                       ledger.tuples_resent_corruption);
   registry->AddCounter("recovery.tuples_resent_full_rerun",
-                       snapshot.tuples_resent_full_rerun);
-  registry->AddCounter("recovery.checkpoints_captured", snapshot.checkpoints_captured);
-  registry->AddCounter("recovery.checkpoint_tuples", snapshot.checkpoint_tuples);
-  registry->SetGauge("recovery.max_single_resend",
-                     static_cast<double>(snapshot.max_single_resend));
+                       ledger.tuples_resent_full_rerun);
+  registry->AddCounter("recovery.checkpoints_captured", ledger.checkpoints.num_captures());
+  registry->AddCounter("recovery.checkpoint_tuples", ledger.checkpoints.total_tuples());
+  const char* kMaxResend = "recovery.max_single_resend";
+  registry->SetGauge(kMaxResend, std::max(registry->GaugeValue(kMaxResend),
+                                          static_cast<double>(ledger.max_single_resend)));
   Histogram& attempts =
       registry->GetHistogram("recovery.attempts_per_exchange", kAttemptBounds);
-  for (double v : snapshot.attempts_samples) attempts.Observe(v);
+  for (double v : ledger.attempts_samples) attempts.Observe(v);
   Histogram& resent =
       registry->GetHistogram("recovery.resent_per_faulted_exchange", kResentBounds);
-  for (double v : snapshot.resent_samples) resent.Observe(v);
+  for (double v : ledger.resent_samples) resent.Observe(v);
 }
 
 }  // namespace telemetry

@@ -27,18 +27,14 @@ namespace coverpack {
 namespace {
 
 using resilience::FaultSpec;
-using resilience::ResilienceTelemetry;
-using resilience::ResilienceTelemetrySnapshot;
+using resilience::RecoveryLedger;
 using resilience::ScopedFaultInjection;
 using testutil::RelationsEqual;
 using testutil::TrackersEqual;
 
 class ChaosTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    saved_threads_ = ThreadPool::GlobalThreads();
-    ResilienceTelemetry::Reset();
-  }
+  void SetUp() override { saved_threads_ = ThreadPool::GlobalThreads(); }
   void TearDown() override { ThreadPool::SetGlobalThreads(saved_threads_); }
 
  private:
@@ -89,12 +85,13 @@ TEST_F(ChaosTest, TotalCrashStormDegradesToFullRerunsYetStaysExact) {
   spec.crash_rate = 1.0;
   spec.max_attempts = 2;
   BoxRun stormed;
+  RecoveryLedger ledger;
   {
     ScopedFaultInjection injection(spec);
     stormed = RunBoxJoin(16, 2048);
+    ledger = injection.injector().Ledger();
   }
   EXPECT_TRUE(BoxRunsIdentical(clean, stormed));
-  const ResilienceTelemetrySnapshot ledger = ResilienceTelemetry::Snapshot();
   EXPECT_GT(ledger.exchanges_faulted, 0u);
   EXPECT_EQ(ledger.full_reruns, ledger.exchanges_faulted);
   EXPECT_EQ(ledger.retries, 2 * ledger.exchanges_faulted);
@@ -115,12 +112,13 @@ TEST_F(ChaosTest, HeavyCorruptionIsHealedTupleForTuple) {
   spec.duplicate_rate = 0.3;
   spec.max_attempts = 8;
   BoxRun mangled;
+  RecoveryLedger ledger;
   {
     ScopedFaultInjection injection(spec);
     mangled = RunBoxJoin(32, 2048);
+    ledger = injection.injector().Ledger();
   }
   EXPECT_TRUE(BoxRunsIdentical(clean, mangled));
-  const ResilienceTelemetrySnapshot ledger = ResilienceTelemetry::Snapshot();
   EXPECT_GT(ledger.rows_dropped, 0u);
   EXPECT_GT(ledger.rows_duplicated, 0u);
   EXPECT_GT(ledger.tuples_resent_corruption, 0u);
@@ -150,9 +148,11 @@ TEST_F(ChaosTest, AcyclicPipelineSurvivesMixedChaos) {
   spec.straggler_severity = 16.0;
   spec.max_attempts = 12;
   AcyclicRunResult chaotic;
+  RecoveryLedger ledger;
   {
     ScopedFaultInjection injection(spec);
     chaotic = ComputeAcyclicJoin(query, instance, options);
+    ledger = injection.injector().Ledger();
   }
   EXPECT_EQ(clean.output_count, chaotic.output_count);
   EXPECT_EQ(clean.max_load, chaotic.max_load);
@@ -162,7 +162,6 @@ TEST_F(ChaosTest, AcyclicPipelineSurvivesMixedChaos) {
   EXPECT_TRUE(TrackersEqual(clean.load_tracker, chaotic.load_tracker));
   EXPECT_EQ(TraceToString(clean.trace), TraceToString(chaotic.trace));
 
-  const ResilienceTelemetrySnapshot ledger = ResilienceTelemetry::Snapshot();
   EXPECT_GT(ledger.crashes, 0u);
   EXPECT_EQ(ledger.tuples_resent, ledger.tuples_resent_crash +
                                       ledger.tuples_resent_corruption +
@@ -189,20 +188,21 @@ TEST_F(ChaosTest, ChaosScheduleAndLedgerAreThreadCountInvariant) {
 
   ThreadPool::SetGlobalThreads(1);
   BoxRun serial;
+  RecoveryLedger serial_ledger;
   {
     ScopedFaultInjection injection(spec);
     serial = RunBoxJoin(16, 4096);
+    serial_ledger = injection.injector().Ledger();
   }
-  const ResilienceTelemetrySnapshot serial_ledger = ResilienceTelemetry::Snapshot();
 
-  ResilienceTelemetry::Reset();
   ThreadPool::SetGlobalThreads(4);
   BoxRun parallel;
+  RecoveryLedger parallel_ledger;
   {
     ScopedFaultInjection injection(spec);
     parallel = RunBoxJoin(16, 4096);
+    parallel_ledger = injection.injector().Ledger();
   }
-  const ResilienceTelemetrySnapshot parallel_ledger = ResilienceTelemetry::Snapshot();
 
   EXPECT_TRUE(BoxRunsIdentical(serial, parallel));
   EXPECT_EQ(serial_ledger.exchanges_faulted, parallel_ledger.exchanges_faulted);
@@ -226,11 +226,12 @@ TEST_F(ChaosTest, BackoffFollowsTheCappedExponentialSchedule) {
   spec.max_attempts = 10;
   spec.backoff_base = 2;
   spec.backoff_cap = 8;
+  RecoveryLedger ledger;
   {
     ScopedFaultInjection injection(spec);
     RunBoxJoin(4, 256);
+    ledger = injection.injector().Ledger();
   }
-  const ResilienceTelemetrySnapshot ledger = ResilienceTelemetry::Snapshot();
   ASSERT_GT(ledger.exchanges_faulted, 0u);
   uint64_t per_exchange = 0;
   for (uint32_t attempt = 0; attempt < spec.max_attempts; ++attempt) {
@@ -249,18 +250,19 @@ TEST_F(ChaosTest, RepeatedChaosRunsAreReproducible) {
   spec.drop_rate = 0.05;
   spec.duplicate_rate = 0.05;
   BoxRun first;
+  RecoveryLedger first_ledger;
   {
     ScopedFaultInjection injection(spec);
     first = RunBoxJoin(16, 1024);
+    first_ledger = injection.injector().Ledger();
   }
-  const ResilienceTelemetrySnapshot first_ledger = ResilienceTelemetry::Snapshot();
-  ResilienceTelemetry::Reset();
   BoxRun second;
+  RecoveryLedger second_ledger;
   {
     ScopedFaultInjection injection(spec);
     second = RunBoxJoin(16, 1024);
+    second_ledger = injection.injector().Ledger();
   }
-  const ResilienceTelemetrySnapshot second_ledger = ResilienceTelemetry::Snapshot();
   EXPECT_TRUE(BoxRunsIdentical(first, second));
   EXPECT_EQ(first_ledger.crashes, second_ledger.crashes);
   EXPECT_EQ(first_ledger.rows_dropped, second_ledger.rows_dropped);
@@ -301,11 +303,12 @@ TEST_F(ChaosTest, QueryServiceSurvivesCrashStormBitIdentically) {
   spec.drop_rate = 0.01;
   spec.duplicate_rate = 0.01;
   service::ServiceRunStats faulted;
+  RecoveryLedger ledger;
   {
     ScopedFaultInjection injection(spec);
     faulted = run_service();
+    ledger = injection.injector().Ledger();
   }
-  const ResilienceTelemetrySnapshot ledger = ResilienceTelemetry::Snapshot();
   EXPECT_GT(ledger.crashes, 0u);  // the storm must actually hit the pipelines
   EXPECT_EQ(clean.Digest(), faulted.Digest());
 
@@ -355,11 +358,12 @@ TEST_F(ChaosTest, CrashStormLeavesPlanDecisionsIdentical) {
   spec.drop_rate = 0.01;
   spec.duplicate_rate = 0.01;
   service::ServiceRunStats stormed;
+  RecoveryLedger ledger;
   {
     ScopedFaultInjection injection(spec);
     stormed = run_service();
+    ledger = injection.injector().Ledger();
   }
-  const ResilienceTelemetrySnapshot ledger = ResilienceTelemetry::Snapshot();
   EXPECT_GT(ledger.crashes, 0u);  // the storm must actually hit the pipelines
 
   // Decision-level comparison first, so a failure names the query whose

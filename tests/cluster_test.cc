@@ -433,6 +433,16 @@ TEST_F(ElasticPipelineTest, ConservesRowsOnEveryEpochBoundary) {
   EXPECT_EQ(result.epochs, 4u);
   EXPECT_GT(result.tuples_migrated, 0u);
   EXPECT_EQ(result.checkpoints.num_captures(), 3u);
+  // The result carries each membership change's migration, in order.
+  ASSERT_EQ(result.migrations.size(), 3u);
+  EXPECT_EQ(result.migrations[0].servers_joined, 3u);
+  EXPECT_EQ(result.migrations[1].servers_left, 4u);
+  EXPECT_EQ(result.migrations[2].servers_joined, 1u);
+  uint64_t migrated = 0;
+  for (const MigrationResult& migration : result.migrations) {
+    migrated += migration.stats.planned;
+  }
+  EXPECT_EQ(migrated, result.tuples_migrated);
   // Final membership = 8 + 3 - 4 + 1 = 8 active slots; every row on them.
   size_t occupied_rows = 0;
   for (size_t size : result.final_shard_sizes) occupied_rows += size;

@@ -48,7 +48,6 @@ namespace {
 using testutil::MaskTimers;
 using testutil::RelationsEqual;
 using testutil::ReportJson;
-using testutil::StripClusterMetrics;
 using testutil::StripResilienceMetrics;
 using testutil::TrackersEqual;
 
@@ -199,20 +198,15 @@ TEST_F(DeterminismTest, FastExperimentsAreBitIdenticalUnderFaultInjection) {
     SCOPED_TRACE(experiment.id);
     ThreadPool::SetGlobalThreads(4);
     telemetry::RunReport clean = bench::RunExperiment(experiment);
-    telemetry::RunReport faulted_serial;
-    telemetry::RunReport faulted_parallel;
-    {
-      resilience::ScopedFaultInjection injection(spec);
-      ThreadPool::SetGlobalThreads(1);
-      faulted_serial = bench::RunExperiment(experiment);
-      ThreadPool::SetGlobalThreads(4);
-      faulted_parallel = bench::RunExperiment(experiment);
-    }
+    ThreadPool::SetGlobalThreads(1);
+    telemetry::RunReport faulted_serial = bench::RunExperiment(experiment, spec);
+    ThreadPool::SetGlobalThreads(4);
+    telemetry::RunReport faulted_parallel = bench::RunExperiment(experiment, spec);
     EXPECT_EQ(clean.ok, faulted_parallel.ok);
     // Both sides stripped: for almost every experiment the clean report has
-    // no ledger keys and stripping is a no-op, but resilience_overhead
-    // injects faults internally and legitimately ledgers them even when no
-    // outer FaultPlan is installed.
+    // no ledger keys and stripping is a no-op, but resilience_overhead and
+    // cluster_elastic inject faults internally and legitimately ledger them
+    // even when the run itself gets no FaultSpec.
     EXPECT_EQ(StripResilienceMetrics(MaskTimers(ReportJson(clean))),
               StripResilienceMetrics(MaskTimers(ReportJson(faulted_parallel))));
     EXPECT_EQ(MaskTimers(ReportJson(faulted_serial)),
@@ -319,11 +313,10 @@ TEST_F(DeterminismTest, PlannerAblationReportIsBitIdenticalAcrossThreadCounts) {
 
 // The cluster subsystem's determinism contract, explicitly: the elastic
 // sweep (speed-weighted routing, membership migrations, chaos composition)
-// is byte-identical at 1 vs 4 threads, and a crash-storm FaultPlan wrapped
-// around the whole experiment changes nothing but the fault./recovery.
-// ledger — the cluster.* ledger itself is content-determined, so it is
-// compared, not stripped, in the thread diff, and stripped only alongside
-// the resilience keys in the chaos diff.
+// is byte-identical at 1 vs 4 threads, and a crash-storm FaultSpec given
+// to the whole experiment changes nothing but the fault./recovery. ledger.
+// The cluster.* keys record planned, content-determined volumes, so they
+// are compared, not stripped, in both diffs.
 TEST_F(DeterminismTest, ClusterElasticReportIsBitIdenticalAcrossThreadsAndChaos) {
   const bench::Experiment* experiment = bench::FindExperiment("cluster_elastic");
   ASSERT_NE(experiment, nullptr);
@@ -344,15 +337,10 @@ TEST_F(DeterminismTest, ClusterElasticReportIsBitIdenticalAcrossThreadsAndChaos)
   storm.crash_rate = 0.15;
   storm.drop_rate = 0.005;
   storm.duplicate_rate = 0.005;
-  telemetry::RunReport stormy;
-  {
-    resilience::ScopedFaultInjection injection(storm);
-    stormy = bench::RunExperiment(*experiment);
-  }
+  telemetry::RunReport stormy = bench::RunExperiment(*experiment, storm);
   EXPECT_EQ(serial.ok, stormy.ok);
-  EXPECT_EQ(StripClusterMetrics(StripResilienceMetrics(serial_json)),
-            StripClusterMetrics(
-                StripResilienceMetrics(MaskTimers(ReportJson(stormy)))));
+  EXPECT_EQ(StripResilienceMetrics(serial_json),
+            StripResilienceMetrics(MaskTimers(ReportJson(stormy))));
 }
 
 TEST_F(DeterminismTest, PlanChooserDecisionDigestsAreThreadCountInvariant) {

@@ -135,13 +135,6 @@ inline std::string StripResilienceMetrics(const std::string& json) {
   return StripMetricsWithPrefix(StripMetricsWithPrefix(json, "fault."), "recovery.");
 }
 
-/// Strips the elastic-cluster ledger ("cluster.*" keys). Composed with
-/// StripResilienceMetrics when diffing a cluster experiment's clean run
-/// against a fault-injected one.
-inline std::string StripClusterMetrics(const std::string& json) {
-  return StripMetricsWithPrefix(json, "cluster.");
-}
-
 inline bool RelationsEqual(const Relation& a, const Relation& b) {
   if (!(a.attrs() == b.attrs()) || a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {

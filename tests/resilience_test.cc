@@ -30,7 +30,7 @@ using mpc::ExchangeInterposer;
 using resilience::FaultInjector;
 using resilience::FaultPlan;
 using resilience::FaultSpec;
-using resilience::ResilienceTelemetry;
+using resilience::RecoveryLedger;
 using resilience::ScopedFaultInjection;
 
 // ---- FaultPlan -------------------------------------------------------------
@@ -225,11 +225,13 @@ TEST(FaultInjectorTest, RecoversBitIdenticalStateUnderCrashesAndCorruption) {
   spec.crash_rate = 0.3;
   spec.drop_rate = 0.01;
   spec.duplicate_rate = 0.01;
-  ResilienceTelemetry::Reset();
-  ExchangeRun faulted = [&] {
+  ExchangeRun faulted;
+  RecoveryLedger ledger;
+  {
     ScopedFaultInjection injection(spec);
-    return RunSeededExchange(8, 0xBEEF, 1500);
-  }();
+    faulted = RunSeededExchange(8, 0xBEEF, 1500);
+    ledger = injection.injector().Ledger();
+  }
 
   EXPECT_EQ(faulted.stats.delivered, clean.stats.delivered);
   EXPECT_EQ(faulted.stats.charged, clean.stats.charged);
@@ -237,9 +239,8 @@ TEST(FaultInjectorTest, RecoversBitIdenticalStateUnderCrashesAndCorruption) {
     EXPECT_EQ(faulted.shards[s].raw(), clean.shards[s].raw());
     EXPECT_EQ(faulted.tracker.At(0, s), clean.tracker.At(0, s));
   }
-  const auto ledger = ResilienceTelemetry::Snapshot();
   EXPECT_EQ(ledger.exchanges_injected, 1u);
-  EXPECT_EQ(ledger.checkpoints_captured, 1u);
+  EXPECT_EQ(ledger.checkpoints.num_captures(), 1u);
   ASSERT_EQ(ledger.exchanges_faulted, 1u);  // crash_rate .3 over 8 servers
   EXPECT_GT(ledger.retries, 0u);
   EXPECT_GT(ledger.tuples_resent, 0u);
@@ -252,13 +253,13 @@ TEST(FaultInjectorTest, PerCrashResendStaysWithinBottleneckReceive) {
   FaultSpec spec;
   spec.seed = 21;
   spec.crash_rate = 0.25;
-  ResilienceTelemetry::Reset();
   ExchangeRun faulted;
+  RecoveryLedger ledger;
   {
     ScopedFaultInjection injection(spec);
     faulted = RunSeededExchange(16, 0xD00D, 4000);
+    ledger = injection.injector().Ledger();
   }
-  const auto ledger = ResilienceTelemetry::Snapshot();
   ASSERT_GT(ledger.crashes, 0u);
   // Each crash replays one server's round: at most the bottleneck receive.
   EXPECT_LE(ledger.max_single_resend, faulted.stats.max_receive);
@@ -270,18 +271,18 @@ TEST(FaultInjectorTest, RetryBudgetExhaustionDegradesToFullRerun) {
   spec.seed = 8;
   spec.crash_rate = 1.0;  // every attempt crashes every receiving server
   spec.max_attempts = 3;
-  ResilienceTelemetry::Reset();
   ExchangeRun clean = RunSeededExchange(4, 0xFEED, 800);
   ExchangeRun faulted;
+  RecoveryLedger ledger;
   {
     ScopedFaultInjection injection(spec);
     faulted = RunSeededExchange(4, 0xFEED, 800);
+    ledger = injection.injector().Ledger();
   }
   // Degraded, but still exact.
   for (uint32_t s = 0; s < 4; ++s) {
     EXPECT_EQ(faulted.shards[s].raw(), clean.shards[s].raw());
   }
-  const auto ledger = ResilienceTelemetry::Snapshot();
   EXPECT_EQ(ledger.full_reruns, 1u);
   EXPECT_EQ(ledger.retries, 3u);
   // 4 attempts total: three faulty ones plus the final clean replay.
@@ -306,7 +307,7 @@ TEST(FaultInjectorTest, UnchargedExchangesAreOutsideTheFaultModel) {
   std::vector<Relation> shards(4, Relation(data.attrs()));
   mpc::ExchangePlan plan =
       mpc::Exchange::Plan(4, data, [](size_t i, auto emit) { emit(i % 4); });
-  ResilienceTelemetry::Reset();
+  RecoveryLedger ledger;
   {
     ScopedFaultInjection injection(spec);
     // Null cluster = initial placement: delivered but never charged, so the
@@ -314,8 +315,8 @@ TEST(FaultInjectorTest, UnchargedExchangesAreOutsideTheFaultModel) {
     mpc::Exchange::Execute(
         nullptr, 0, plan, [&shards](size_t, uint32_t s) { return &shards[s]; },
         "initial_placement");
+    ledger = injection.injector().Ledger();
   }
-  const auto ledger = ResilienceTelemetry::Snapshot();
   EXPECT_EQ(ledger.exchanges_injected, 0u);
   EXPECT_EQ(ledger.crashes, 0u);
   uint64_t total = 0;
@@ -330,22 +331,22 @@ TEST(FaultInjectorTest, InjectionIsDeterministicAcrossThreadCounts) {
   spec.drop_rate = 0.02;
   spec.duplicate_rate = 0.02;
   const unsigned saved = ThreadPool::GlobalThreads();
-  ResilienceTelemetry::Reset();
   ThreadPool::SetGlobalThreads(1);
   ExchangeRun serial;
+  RecoveryLedger serial_ledger;
   {
     ScopedFaultInjection injection(spec);
     serial = RunSeededExchange(8, 0xFACE, 6000);
+    serial_ledger = injection.injector().Ledger();
   }
-  const auto serial_ledger = ResilienceTelemetry::Snapshot();
-  ResilienceTelemetry::Reset();
   ThreadPool::SetGlobalThreads(4);
   ExchangeRun parallel;
+  RecoveryLedger parallel_ledger;
   {
     ScopedFaultInjection injection(spec);
     parallel = RunSeededExchange(8, 0xFACE, 6000);
+    parallel_ledger = injection.injector().Ledger();
   }
-  const auto parallel_ledger = ResilienceTelemetry::Snapshot();
   ThreadPool::SetGlobalThreads(saved);
   for (uint32_t s = 0; s < 8; ++s) {
     EXPECT_EQ(serial.shards[s].raw(), parallel.shards[s].raw());
@@ -356,6 +357,39 @@ TEST(FaultInjectorTest, InjectionIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial_ledger.rows_duplicated, parallel_ledger.rows_duplicated);
   EXPECT_EQ(serial_ledger.retries, parallel_ledger.retries);
   EXPECT_EQ(serial_ledger.tuples_resent, parallel_ledger.tuples_resent);
+}
+
+TEST(FaultInjectorTest, EachInjectorOwnsItsLedger) {
+  FaultSpec spec;
+  spec.seed = 5;
+  spec.crash_rate = 0.5;
+  {
+    ScopedFaultInjection earlier(spec);
+    RunSeededExchange(8, 0xA1, 1000);
+    ASSERT_GT(earlier.injector().Ledger().crashes, 0u);
+  }
+  // No reset anywhere: a later injector starts from an empty ledger.
+  ScopedFaultInjection outer(spec);
+  const RecoveryLedger fresh = outer.injector().Ledger();
+  EXPECT_EQ(fresh.exchanges_injected, 0u);
+  EXPECT_EQ(fresh.crashes, 0u);
+  EXPECT_EQ(fresh.checkpoints.num_captures(), 0u);
+
+  RunSeededExchange(8, 0xA2, 1000);
+  {
+    // Exchanges inside a nested injection land only in the inner ledger.
+    ScopedFaultInjection inner(spec);
+    RunSeededExchange(8, 0xA3, 1000);
+    RunSeededExchange(8, 0xA4, 1000);
+    RunSeededExchange(8, 0xA5, 1000);
+    const RecoveryLedger inner_ledger = inner.injector().Ledger();
+    EXPECT_EQ(inner_ledger.exchanges_injected, 3u);
+    EXPECT_EQ(inner_ledger.checkpoints.num_captures(), 3u);
+  }
+  RunSeededExchange(8, 0xA6, 1000);
+  const RecoveryLedger outer_ledger = outer.injector().Ledger();
+  EXPECT_EQ(outer_ledger.exchanges_injected, 2u);
+  EXPECT_EQ(outer_ledger.checkpoints.num_captures(), 2u);
 }
 
 // ---- Round checkpoints -----------------------------------------------------
@@ -402,7 +436,7 @@ TEST(RoundCheckpointStoreTest, InjectorLedgersOneCheckpointPerChargedExchange) {
   ScopedFaultInjection injection(spec);
   RunSeededExchange(4, 1, 300);
   RunSeededExchange(4, 2, 300);
-  const resilience::RoundCheckpointStore store = injection.injector().CheckpointLedger();
+  const resilience::RoundCheckpointStore store = injection.injector().Ledger().checkpoints;
   EXPECT_EQ(store.num_captures(), 2u);
   EXPECT_GE(store.num_restores(), 1u);  // crash_rate .5 over two exchanges
 }
